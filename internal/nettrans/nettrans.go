@@ -406,9 +406,15 @@ func (pr *peer) writeLoop() {
 }
 
 // setConn installs a fresh, handshaken connection, replacing (and closing)
-// any previous one.
+// any previous one. After Close it closes conn instead, so a late
+// handshake's reader cannot keep Close waiting.
 func (pr *peer) setConn(conn net.Conn) {
 	pr.mu.Lock()
+	if pr.t.closed.Load() {
+		pr.mu.Unlock()
+		conn.Close()
+		return
+	}
 	if pr.conn != nil {
 		pr.conn.Close()
 	}

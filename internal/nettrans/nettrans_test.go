@@ -108,6 +108,24 @@ func wait(t *testing.T, ch chan struct{}, what string) {
 	}
 }
 
+// settledStats polls tr.Stats until ready holds or a deadline passes, and
+// returns the last snapshot. The counters move on the transport's own
+// goroutines after the I/O they count — a writer bumps FramesSent once
+// conn.Write returns, an acceptor counts a failed handshake once its
+// refusal is on the wire — so the peer can observe an event before the
+// local counter does. ready only says when the snapshot is worth checking;
+// callers still assert the exact values they expect.
+func settledStats(tr *Transport, ready func(minimpi.TransportStats) bool) minimpi.TransportStats {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := tr.Stats()
+		if ready(st) || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPingPongAcrossProcesses sends a tagged payload from rank 0 (proc 0)
 // to rank 1 (proc 1) and back, across real loopback sockets.
 func TestPingPongAcrossProcesses(t *testing.T) {
@@ -136,7 +154,9 @@ func TestPingPongAcrossProcesses(t *testing.T) {
 	wait(t, aDone, "ping side")
 	wait(t, bDone, "pong side")
 
-	st := a.tr.Stats()
+	st := settledStats(a.tr, func(st minimpi.TransportStats) bool {
+		return st.FramesSent > 0 && st.FramesReceived > 0
+	})
 	if st.FramesSent == 0 || st.FramesReceived == 0 {
 		t.Errorf("proc 0 stats show no traffic: %+v", st)
 	}
@@ -184,7 +204,7 @@ func TestSizedAndLocalDelivery(t *testing.T) {
 	wait(t, aDone, "sender")
 	wait(t, bDone, "sized receiver")
 
-	st := a.tr.Stats()
+	st := settledStats(a.tr, func(st minimpi.TransportStats) bool { return st.FramesSent > 0 })
 	if st.FramesSent != 1 {
 		t.Errorf("want exactly 1 frame (local hop must not hit the wire), got %+v", st)
 	}
@@ -325,10 +345,11 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if vm.Mine != 1 || vm.Theirs != 2 {
 		t.Errorf("mismatch detail = %+v, want mine=1 theirs=2", vm)
 	}
-	if a.tr.Stats().HandshakeFailures == 0 {
+	counted := func(st minimpi.TransportStats) bool { return st.HandshakeFailures > 0 }
+	if settledStats(a.tr, counted).HandshakeFailures == 0 {
 		t.Error("dialer did not count the handshake failure")
 	}
-	if b.tr.Stats().HandshakeFailures == 0 {
+	if settledStats(b.tr, counted).HandshakeFailures == 0 {
 		t.Error("acceptor did not count the handshake failure")
 	}
 }

@@ -1,13 +1,17 @@
+//go:build go1.23
+
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
 // A Simulation owns a virtual clock and a set of cooperative processes.
-// Each process is a goroutine, but exactly one process runs at any moment:
-// a process runs until it blocks on a simulation primitive (Wait, Event,
-// Resource, Mailbox), at which point control returns to the scheduler,
-// which advances the virtual clock to the next pending event. Ties in
-// virtual time are broken by event creation order, so a simulation is
-// bit-for-bit reproducible across runs and safe under the race detector.
+// Each process runs as a coroutine (iter.Pull) driven by the scheduler, so
+// exactly one process runs at any moment: a process runs until it blocks
+// on a simulation primitive (Wait, Event, Resource, Mailbox), at which
+// point it yields straight back to the scheduler, which advances the
+// virtual clock to the next pending event. A coroutine switch hands control
+// over directly, without a trip through the Go scheduler. Ties in virtual
+// time are broken by event creation order, so a simulation is bit-for-bit
+// reproducible across runs and safe under the race detector.
 //
 // The package provides the primitives the rest of this repository is built
 // on: timed waits, one-shot events (completions), counted resources
@@ -15,7 +19,7 @@
 // message queues with blocking receive).
 //
 // The scheduler is allocation-free in steady state: event records, process
-// waiter records and worker goroutines are recycled through free lists
+// waiter records and worker coroutines are recycled through free lists
 // owned by the Simulation. Recycling never changes execution order — see
 // the comment on push for the ordering argument.
 package sim
@@ -23,6 +27,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -119,8 +124,6 @@ type Simulation struct {
 	ready     []*event
 	readyHead int
 
-	yield chan struct{} // processes signal the scheduler here when blocking
-
 	procs   map[*Proc]struct{} // live (spawned, not yet terminated) processes
 	nprocs  int                // total processes ever spawned, for naming
 	failure error              // first process panic, if any
@@ -142,10 +145,7 @@ type Simulation struct {
 
 // New creates an empty simulation with the clock at zero.
 func New() *Simulation {
-	s := &Simulation{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	s := &Simulation{procs: make(map[*Proc]struct{})}
 	s.inj.sig = make(chan struct{}, 1)
 	return s
 }
@@ -232,29 +232,31 @@ func (s *Simulation) putEvent(e *event) {
 
 // Proc is the handle a process function uses to interact with the
 // simulation: waiting, spawning children, and querying the clock. A Proc is
-// only valid inside the goroutine of the process it belongs to, except for
-// Kill, Killed, Terminated and Done, which other processes use to manage it.
+// only valid inside the process it belongs to, except for Kill, Killed,
+// Terminated and Done, which other processes use to manage it.
 type Proc struct {
 	sim        *Simulation
 	name       string
 	w          *worker
-	resume     chan struct{}
 	state      string // human-readable description of what the process waits on
 	done       *Event // created lazily by Done; triggered at termination
 	killed     bool   // Kill was called; unwind at the next scheduling point
 	terminated bool   // the process function has returned or unwound
 }
 
-// worker is a reusable process shell: a goroutine plus its resume channel.
-// When its process terminates the worker parks on resume and returns to
-// the simulation's free list, so steady-state Spawn starts no goroutine.
+// worker is a reusable process shell: a coroutine from iter.Pull that runs
+// one process per assignment. next resumes the coroutine and returns when
+// it yields, which it does whenever its process blocks or terminates. When
+// its process terminates the worker returns to the simulation's free list
+// and stays suspended in loop, so steady-state Spawn creates no coroutine.
 type worker struct {
-	resume  chan struct{}
-	started bool // the goroutine exists (created lazily at first dispatch)
-	p       *Proc
-	fn      func(*Proc)
-	fnArg   func(*Proc, any) // SpawnArg form; exactly one of fn/fnArg is set
-	arg     any
+	next  func() (struct{}, bool) // nil until the first dispatch creates the coroutine
+	stop  func()
+	yield func(struct{}) bool // the coroutine's yield; called only from inside it
+	p     *Proc
+	fn    func(*Proc)
+	fnArg func(*Proc, any) // SpawnArg form; exactly one of fn/fnArg is set
+	arg   any
 }
 
 // killSignal is the panic value that unwinds a killed process. It is
@@ -309,12 +311,12 @@ func (p *Proc) Killed() bool { return p.killed }
 // use it to skip granting to waiters that will never run again.
 func (p *Proc) gone() bool { return p.killed || p.terminated }
 
-// block hands control back to the scheduler and sleeps until resumed. A
-// killed process unwinds here instead of resuming.
+// block yields the process's coroutine back to the scheduler; it returns
+// when the scheduler next dispatches p. A killed process unwinds here
+// instead of resuming.
 func (p *Proc) block(state string) {
 	p.state = state
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	p.w.yield(struct{}{})
 	if p.killed {
 		panic(killSignal{})
 	}
@@ -326,19 +328,19 @@ func (p *Proc) wake() {
 	p.sim.scheduleProc(p.sim.now, p)
 }
 
-// dispatch resumes process p and waits until it blocks again or terminates.
-// Called only from the scheduler goroutine. A process that died with a wake
-// still pending (e.g. killed while also holding a timer) is skipped.
+// dispatch switches to process p's coroutine and returns when p blocks
+// again or terminates. Called only by the scheduler. A process that died
+// with a wake still pending (e.g. killed while also holding a timer) is
+// skipped.
 func (s *Simulation) dispatch(p *Proc) {
 	if p.terminated {
 		return
 	}
-	if w := p.w; !w.started {
-		w.started = true
-		go w.loop(s)
+	w := p.w
+	if w.next == nil {
+		w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) { w.loop(s, yield) })
 	}
-	p.resume <- struct{}{}
-	<-s.yield
+	w.next()
 }
 
 const stateWaiting = "waiting"
@@ -362,7 +364,7 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // Spawn registers a new process to start at the current virtual time and
-// returns its handle. The process function runs in its own goroutine under
+// returns its handle. The process function runs in its own coroutine under
 // the cooperative scheduling discipline described in the package comment.
 func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 	return s.spawn(name, fn, nil, nil)
@@ -381,12 +383,7 @@ func (s *Simulation) spawn(name string, fn func(*Proc), fnArg func(*Proc, any), 
 		name = fmt.Sprintf("proc-%d", s.nprocs)
 	}
 	w := s.getWorker()
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		w:      w,
-		resume: w.resume,
-	}
+	p := &Proc{sim: s, name: name, w: w}
 	w.p, w.fn, w.fnArg, w.arg = p, fn, fnArg, arg
 	s.procs[p] = struct{}{}
 	s.scheduleProc(s.now, p)
@@ -399,26 +396,27 @@ func (s *Simulation) getWorker() *worker {
 		s.freeWorkers = s.freeWorkers[:n-1]
 		return w
 	}
-	return &worker{resume: make(chan struct{})}
+	return &worker{}
 }
 
-// loop is the worker goroutine body: run one process per resume, park in
-// between. A resume with no pending assignment (fn == nil) is the stop
-// signal from drainWorkers.
-func (w *worker) loop(s *Simulation) {
+// loop is the coroutine body: run the assigned process, yield once it has
+// terminated, and run the next assignment when resumed. The first dispatch
+// enters with a process already assigned; stop (from drainWorkers) makes
+// the idle yield return false, which ends the coroutine.
+func (w *worker) loop(s *Simulation, yield func(struct{}) bool) {
+	w.yield = yield
 	for {
-		<-w.resume
-		if w.fn == nil && w.fnArg == nil {
+		w.runProc(s)
+		if !yield(struct{}{}) {
 			return
 		}
-		w.runProc(s)
 	}
 }
 
 // runProc executes one process function inside the recover shell, then
-// returns the worker to the free list. The scheduler is parked in dispatch
-// while this runs, so the free list and process table are never touched
-// concurrently.
+// returns the worker to the free list. The scheduler is suspended in
+// dispatch while this runs, so the free list and process table are never
+// touched concurrently.
 func (w *worker) runProc(s *Simulation) {
 	p, fn, fnArg, arg := w.p, w.fn, w.fnArg, w.arg
 	w.p, w.fn, w.fnArg, w.arg = nil, nil, nil, nil
@@ -436,7 +434,6 @@ func (w *worker) runProc(s *Simulation) {
 		p.state = "terminated"
 		p.w = nil
 		s.freeWorkers = append(s.freeWorkers, w)
-		s.yield <- struct{}{}
 	}()
 	if !p.killed { // killed before ever running: skip the body
 		if fnArg != nil {
@@ -447,14 +444,13 @@ func (w *worker) runProc(s *Simulation) {
 	}
 }
 
-// drainWorkers stops the goroutines of all idle pooled workers. Called when
-// the simulation quiesces with no live processes, so a finished Simulation
-// leaves no parked goroutines behind.
+// drainWorkers ends the coroutines of all idle pooled workers. Called when
+// the event queue drains or a process fails, so a finished Simulation
+// leaves no suspended coroutines behind. Workers of still-blocked processes
+// are not pooled and stay suspended in block.
 func (s *Simulation) drainWorkers() {
 	for _, w := range s.freeWorkers {
-		if w.started {
-			w.resume <- struct{}{} // fn == nil: worker exits
-		}
+		w.stop() // pooled workers have all run a process, so stop is set
 	}
 	s.freeWorkers = s.freeWorkers[:0]
 }
@@ -526,13 +522,14 @@ func (s *Simulation) run(limit Time, advance bool) error {
 		s.pop(fromReady)
 		s.exec(e)
 		if s.failure != nil {
+			s.drainWorkers()
 			return s.failure
 		}
 	}
+	s.drainWorkers()
 	if len(s.procs) > 0 {
 		return s.deadlockError()
 	}
-	s.drainWorkers()
 	if advance && s.now < limit {
 		s.now = limit
 	}
