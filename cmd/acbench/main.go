@@ -32,7 +32,7 @@ func main() {
 	armJSON := flag.String("arm-json", "", "run the multi-tenant sharing workload and write the ARM's per-accelerator stats to this file")
 	fleetJSON := flag.String("fleet-json", "", "run the 32-daemon/96-tenant fleet benchmark and write the engine-cost report to this file")
 	heteroJSON := flag.String("hetero-json", "", "run the mixed-fleet QR comparison and write the per-class utilization report to this file")
-	dataplaneJSON := flag.String("dataplane-json", "", "run the data-plane comparison (tree panel broadcast, direct redistribution) and write the report to this file")
+	dataplaneJSON := flag.String("dataplane-json", "", "run the data-plane comparison (tree panel broadcast, redistribution planner) and write the report to this file")
 	shards := flag.Int("shards", 1, "ARM shard count for -arm-json and -fleet-json workloads (<2 = single legacy ARM)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
@@ -113,9 +113,9 @@ func main() {
 				float64(b.HostLoopNICBytes)/(1<<20), float64(b.TreeNICBytes)/(1<<20))
 		}
 		for _, rd := range r.Redist {
-			fmt.Printf("redistribute %s (%d->%d GPUs, %d blocks, %d unchanged): staged %d B, default %d B, direct %d B, unchanged payload %d B\n",
-				rd.Scenario, rd.FromGPUs, rd.ToGPUs, rd.Blocks, rd.Unchanged,
-				rd.StagedWireBytes, rd.DefaultWireBytes, rd.DirectWireBytes, rd.UnchangedPayloadBytes)
+			fmt.Printf("redistribute %s (%d->%d GPUs, %d blocks, %d unchanged, %d moved block B): staged %d B, planner %d B, unchanged payload %d B\n",
+				rd.Scenario, rd.FromGPUs, rd.ToGPUs, rd.Blocks, rd.Unchanged, rd.MovedBlockBytes,
+				rd.StagedWireBytes, rd.PlannerWireBytes, rd.UnchangedPayloadBytes)
 		}
 		return
 	}

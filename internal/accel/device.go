@@ -88,20 +88,16 @@ func CapabilityOf(d Device) (gpu.Capability, bool) {
 // between two accelerators without staging it through the compute node —
 // the paper's AC-to-AC transfer advantage (Section III). The source is a
 // strided window (cols columns of colBytes bytes, pitch bytes apart); the
-// destination receives the packed bytes contiguously. CopyToPeer reports
-// false when the destination is not a peer it can reach directly.
+// destination receives the packed bytes contiguously. The source daemon
+// sends on srcStream and the destination receives on dstStream; stream
+// workers run concurrently, so a relay device that receives on one
+// stream and forwards on another overlaps the two — the dual-DMA
+// behavior a pipelined broadcast tree needs. Streams 0/0 serialize the
+// copy behind everything earlier on both devices' default streams.
+// CopyToPeer reports false when the destination is not a peer it can
+// reach directly.
 type PeerCopier interface {
-	CopyToPeer(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int) (bool, error)
-}
-
-// StreamPeerCopier is PeerCopier with explicit daemon streams: the
-// source daemon sends on srcStream and the destination receives on
-// dstStream. Daemon stream workers run concurrently, so a relay device
-// that receives on one stream and forwards on another overlaps the two
-// — the dual-DMA behavior a pipelined broadcast tree needs. Both
-// streams 0 is exactly CopyToPeer.
-type StreamPeerCopier interface {
-	CopyToPeerOn(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) (bool, error)
+	CopyToPeer(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) (bool, error)
 }
 
 // LocalCopier is an optional Device capability: a contiguous copy
@@ -150,17 +146,7 @@ func (r remoteDevice) LaunchAsync(kernel string, l gpu.Launch, stream uint8) Pen
 // CopyToPeer implements PeerCopier for two accelerators attached through
 // the same front-end: the daemons stream the payload directly to each
 // other (OpD2DSend/OpD2DRecv), bypassing the compute node.
-func (r remoteDevice) CopyToPeer(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int) (bool, error) {
-	peer, ok := dst.(remoteDevice)
-	if !ok || peer.a.Client() != r.a.Client() {
-		return false, nil
-	}
-	return true, r.a.Client().DirectCopy2D(p, r.a, srcPtr, srcOff, colBytes, cols, pitch, peer.a, dstPtr, dstOff)
-}
-
-// CopyToPeerOn implements StreamPeerCopier, picking the daemon stream
-// each side runs its half of the transfer on.
-func (r remoteDevice) CopyToPeerOn(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) (bool, error) {
+func (r remoteDevice) CopyToPeer(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) (bool, error) {
 	peer, ok := dst.(remoteDevice)
 	if !ok || peer.a.Client() != r.a.Client() {
 		return false, nil

@@ -12,13 +12,14 @@ package bench
 //     the tree pays one upload plus O(log G) link-serialized rounds.
 //
 //   - Redistribution: a running distribution grown onto a larger device
-//     set, measured as total wire bytes. The "unchanged" scenario grows
-//     a 2-block matrix from 2 onto 4 devices — every block keeps its
-//     owner, so the overlap-aware Redistribute moves zero payload bytes
-//     (the wire carries only alloc/free/copy headers) where the legacy
-//     staged path round-trips the whole matrix through the host. The
-//     "mixed" scenario (8 blocks, half change owner) additionally
-//     compares host staging against the direct daemon-to-daemon path.
+//     set, measured as total wire bytes, the per-block planner
+//     (magma.Dist.Redistribute) against the full host round trip
+//     (RedistributeStaged). The "unchanged" scenario grows a 2-block
+//     matrix from 2 onto 4 devices — every block keeps its owner, so the
+//     planner moves zero payload bytes (the wire carries only
+//     alloc/free/copy headers). In the "mixed" scenario (8 blocks, half
+//     change owner) each moved block crosses the wire once,
+//     daemon-to-daemon.
 
 import (
 	"encoding/json"
@@ -46,8 +47,8 @@ type BroadcastResult struct {
 	TreeNICBytes     int64 `json:"tree_nic_bytes"`
 }
 
-// RedistResult measures one grow scenario under the redistribution
-// strategies (wire bytes summed over every endpoint's sends).
+// RedistResult measures one grow scenario under the planner and the
+// staged baseline (wire bytes summed over every endpoint's sends).
 type RedistResult struct {
 	Scenario   string `json:"scenario"`
 	FromGPUs   int    `json:"from_gpus"`
@@ -55,14 +56,14 @@ type RedistResult struct {
 	Blocks     int    `json:"blocks"`
 	Unchanged  int    `json:"unchanged_owner_blocks"`
 	BlockBytes int64  `json:"total_block_bytes"`
-	// Wire bytes of each strategy. Staged is the legacy full host
-	// round trip; Default is Dist.Redistribute (unchanged owners copy
-	// device-locally, header-only on the wire); Direct additionally
-	// moves changed-owner blocks daemon-to-daemon.
+	// MovedBlockBytes is the size of the blocks whose owner changes.
+	MovedBlockBytes int64 `json:"moved_block_bytes"`
+	// Wire bytes of each path. Staged is the full host round trip;
+	// Planner is Dist.Redistribute (unchanged owners copy device-locally,
+	// header-only on the wire; moved blocks go daemon-to-daemon).
 	StagedWireBytes  int64 `json:"staged_wire_bytes"`
-	DefaultWireBytes int64 `json:"default_wire_bytes"`
-	DirectWireBytes  int64 `json:"direct_wire_bytes"`
-	// UnchangedPayloadBytes is the payload the default path moved for
+	PlannerWireBytes int64 `json:"planner_wire_bytes"`
+	// UnchangedPayloadBytes is the payload the planner moved for
 	// unchanged-owner blocks. In the all-unchanged scenario any payload
 	// would be at least one block; wire traffic below that is header
 	// traffic only, reported as zero. Pinned by TestDataplaneReport.
@@ -119,10 +120,11 @@ func wireBytesSent(cl *cluster.Cluster) int64 {
 }
 
 // MeasureBroadcast times the panel fan-out to gpus devices for one
-// panelBytes-sized panel, host loop vs tree.
-func MeasureBroadcast(gpus, panelBytes int) BroadcastResult {
+// rows×cols f64 panel, host loop vs tree.
+func MeasureBroadcast(gpus, rows, cols int) BroadcastResult {
+	panelBytes := 8 * rows * cols
 	res := BroadcastResult{GPUs: gpus, PanelBytes: panelBytes}
-	run := func(tree bool) (sim.Duration, int64) {
+	run := func(how magma.Broadcast) (sim.Duration, int64) {
 		var elapsed sim.Duration
 		var nic int64
 		dataplaneFleet(gpus, func(p *sim.Proc, cl *cluster.Cluster, node *cluster.Node, devs []accel.Device) {
@@ -136,7 +138,7 @@ func MeasureBroadcast(gpus, panelBytes int) BroadcastResult {
 			}
 			before := node.World.WireStats().Bytes
 			start := p.Now()
-			if err := magma.BroadcastPanel(p, devs, 0, dV, nil, panelBytes, tree); err != nil {
+			if err := magma.BroadcastPanel(p, devs, 0, dV, nil, 8*rows, cols, how); err != nil {
 				panic(err)
 			}
 			elapsed = p.Now().Sub(start)
@@ -147,8 +149,8 @@ func MeasureBroadcast(gpus, panelBytes int) BroadcastResult {
 		})
 		return elapsed, nic
 	}
-	host, hostNIC := run(false)
-	tree, treeNIC := run(true)
+	host, hostNIC := run(magma.BroadcastHost)
+	tree, treeNIC := run(magma.BroadcastTree)
 	res.HostSecs = host.Seconds()
 	res.TreeSecs = tree.Seconds()
 	res.HostLoopNICBytes = hostNIC
@@ -160,8 +162,8 @@ func MeasureBroadcast(gpus, panelBytes int) BroadcastResult {
 }
 
 // MeasureRedistribute grows an m×n/nb distribution from the first
-// fromGPUs devices onto toGPUs devices under each strategy and reports
-// the wire bytes each one cost.
+// fromGPUs devices onto toGPUs devices with the planner and with the
+// staged baseline and reports the wire bytes each one cost.
 func MeasureRedistribute(scenario string, fromGPUs, toGPUs, m, n, nb int) RedistResult {
 	blocks := (n + nb - 1) / nb
 	res := RedistResult{
@@ -173,6 +175,8 @@ func MeasureRedistribute(scenario string, fromGPUs, toGPUs, m, n, nb int) Redist
 	for b := 0; b < blocks; b++ {
 		if b%fromGPUs == b%toGPUs {
 			res.Unchanged++
+		} else {
+			res.MovedBlockBytes += 8 * int64(m) * int64(min(nb, n-b*nb))
 		}
 	}
 	run := func(redist func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error) int64 {
@@ -197,18 +201,15 @@ func MeasureRedistribute(scenario string, fromGPUs, toGPUs, m, n, nb int) Redist
 	res.StagedWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
 		return d.RedistributeStaged(p, devs)
 	})
-	res.DefaultWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
+	res.PlannerWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
 		return d.Redistribute(p, devs)
-	})
-	res.DirectWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
-		return d.RedistributeDirect(p, devs)
 	})
 	if res.Unchanged == blocks {
 		perBlock := res.BlockBytes / int64(blocks)
-		if res.DefaultWireBytes < perBlock {
+		if res.PlannerWireBytes < perBlock {
 			res.UnchangedPayloadBytes = 0
 		} else {
-			res.UnchangedPayloadBytes = res.DefaultWireBytes
+			res.UnchangedPayloadBytes = res.PlannerWireBytes
 		}
 	}
 	return res
@@ -216,16 +217,16 @@ func MeasureRedistribute(scenario string, fromGPUs, toGPUs, m, n, nb int) Redist
 
 // MeasureDataplane runs the full data-plane comparison.
 func MeasureDataplane() DataplaneReport {
-	const panel = 4096 * 128 * 8 // one 4096×128 f64 QR panel
 	return DataplaneReport{
+		// One 4096×128 f64 QR panel.
 		Broadcast: []BroadcastResult{
-			MeasureBroadcast(8, panel),
-			MeasureBroadcast(16, panel),
+			MeasureBroadcast(8, 4096, 128),
+			MeasureBroadcast(16, 4096, 128),
 		},
 		Redist: []RedistResult{
 			// All owners unchanged: 2 blocks over 2 GPUs grown to 4 —
 			// block b's owner is b%2 before and b%4 after, identical for
-			// b in {0,1}. The default path must move zero payload.
+			// b in {0,1}. The planner must move zero payload.
 			MeasureRedistribute("unchanged", 2, 4, 2048, 2*128, 128),
 			// Half the owners change: 8 blocks grown 2 -> 4.
 			MeasureRedistribute("mixed", 2, 4, 2048, 8*128, 128),

@@ -5,9 +5,10 @@ import "testing"
 // TestDataplaneReport pins the data-plane fast path's acceptance
 // numbers (the figures BENCH_dataplane.json publishes): the tree panel
 // broadcast at 8 GPUs beats the host-staged loop by at least 2x while
-// taking the panel off the host NIC, and a redistribution whose owners
-// all stay put moves zero payload bytes — against a host-staged
-// baseline that round-trips the whole matrix. The simulation is
+// taking the panel off the host NIC, and the redistribution planner
+// moves zero payload bytes when all owners stay put and each moved block
+// once otherwise — against a host-staged baseline that round-trips the
+// whole matrix. The simulation is
 // deterministic, so these are exact regressions, not flaky perf tests.
 func TestDataplaneReport(t *testing.T) {
 	rep := MeasureDataplane()
@@ -57,20 +58,29 @@ func TestDataplaneReport(t *testing.T) {
 	}
 	// Headers only on the wire: orders of magnitude below the block data
 	// the staged baseline round-trips.
-	if unchanged.DefaultWireBytes*1000 > unchanged.BlockBytes {
-		t.Errorf("unchanged-owner default path sent %d wire bytes for %d block bytes",
-			unchanged.DefaultWireBytes, unchanged.BlockBytes)
+	if unchanged.PlannerWireBytes*1000 > unchanged.BlockBytes {
+		t.Errorf("unchanged-owner planner sent %d wire bytes for %d block bytes",
+			unchanged.PlannerWireBytes, unchanged.BlockBytes)
 	}
 	if unchanged.StagedWireBytes < unchanged.BlockBytes {
 		t.Errorf("staged baseline sent %d wire bytes, expected at least the %d block bytes",
 			unchanged.StagedWireBytes, unchanged.BlockBytes)
 	}
 
-	// Moved blocks: direct D2D carries each moved block once; the default
-	// path stages them down and up through the host; staged moves
-	// everything.
-	if !(mixed.DirectWireBytes < mixed.DefaultWireBytes && mixed.DefaultWireBytes < mixed.StagedWireBytes) {
-		t.Errorf("mixed scenario wire bytes not ordered direct < default < staged: %d, %d, %d",
-			mixed.DirectWireBytes, mixed.DefaultWireBytes, mixed.StagedWireBytes)
+	// Moved blocks: the planner sends each one daemon-to-daemon, so it
+	// crosses the wire once (host staging would carry it down and up
+	// again); the staged baseline moves the whole matrix twice.
+	for _, r := range []*RedistResult{unchanged, mixed} {
+		if r.PlannerWireBytes >= r.StagedWireBytes {
+			t.Errorf("%s: planner sent %d wire bytes, staged %d: want fewer",
+				r.Scenario, r.PlannerWireBytes, r.StagedWireBytes)
+		}
+	}
+	if mixed.MovedBlockBytes == 0 {
+		t.Fatal("'mixed' scenario moved no blocks")
+	}
+	if mixed.PlannerWireBytes >= 2*mixed.MovedBlockBytes {
+		t.Errorf("mixed: planner sent %d wire bytes for %d moved block bytes: a moved block crossed the wire more than once",
+			mixed.PlannerWireBytes, mixed.MovedBlockBytes)
 	}
 }

@@ -1267,24 +1267,19 @@ func (c *Client) MigrateRank(p *sim.Proc, oldRank, newRank int) (int, error) {
 // clusters lack. Both daemons run the pipeline protocol against each
 // other; the call returns when both sides confirm.
 func (c *Client) DirectCopy(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff int, dst *Accel, dstPtr gpu.Ptr, dstOff, n int) error {
-	return c.DirectCopy2D(p, src, srcPtr, srcOff, n, 1, n, dst, dstPtr, dstOff)
+	return c.DirectCopy2DOn(p, src, srcPtr, srcOff, n, 1, n, dst, dstPtr, dstOff, 0, 0)
 }
 
-// DirectCopy2D is DirectCopy for a strided source window (cols columns
-// of colBytes bytes, pitch bytes apart at src); the destination receives
-// the packed bytes contiguously. The payload still flows daemon to
-// daemon only.
-func (c *Client) DirectCopy2D(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst *Accel, dstPtr gpu.Ptr, dstOff int) error {
-	return c.DirectCopy2DOn(p, src, srcPtr, srcOff, colBytes, cols, pitch, dst, dstPtr, dstOff, 0, 0)
-}
-
-// DirectCopy2DOn is DirectCopy2D with explicit daemon streams: the
-// source daemon executes its OpD2DSend on srcStream, the destination
-// its OpD2DRecv on dstStream. Stream workers run concurrently, so
-// placing a device's incoming and outgoing transfers on different
-// streams lets it receive and forward at the same time — the dual-DMA
-// overlap a relay node in a broadcast tree needs to pipeline segments.
-// Both streams 0 keeps the classic fully-serialized behavior.
+// DirectCopy2DOn is DirectCopy for a strided source window (cols columns
+// of colBytes bytes, pitch bytes apart at src) with explicit daemon
+// streams; the destination receives the packed bytes contiguously, and
+// the payload still flows daemon to daemon only. The source daemon
+// executes its OpD2DSend on srcStream, the destination its OpD2DRecv on
+// dstStream. Stream workers run concurrently, so placing a device's
+// incoming and outgoing transfers on different streams lets it receive
+// and forward at the same time — the dual-DMA overlap a relay node in a
+// broadcast tree needs to pipeline segments. Streams 0/0 (what
+// DirectCopy uses) keep the classic fully-serialized behavior.
 func (c *Client) DirectCopy2DOn(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst *Accel, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) error {
 	if src.c != c || dst.c != c {
 		// Handles of different clients share no communicator, so no

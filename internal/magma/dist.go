@@ -95,29 +95,22 @@ func (d *Dist) Free(p *sim.Proc) {
 	d.ptrs = nil
 }
 
-// Redistribute moves the matrix onto a new device set, block by block:
-// blocks whose owning device is unchanged never leave it (a
-// device-local copy shifts them to their new offset — zero payload
-// bytes on the wire), and only blocks whose owner changed are staged
-// through the host. An identical device list is a no-op. In model mode
+// Redistribute moves the matrix onto a new device set, planning each
+// block on its own:
+//   - unchanged owner: a device-local copy shifts the block to its new
+//     offset (accel.LocalCopier), with no payload bytes on the wire;
+//   - changed owner: a peer copy moves it daemon-to-daemon
+//     (accel.PeerCopier);
+//   - host staging only when no peer path exists (a device without the
+//     capability, or core.ErrNoPeerPath).
+//
+// An identical device list is a no-op, and devices without room for
+// both layouts at once fall back to RedistributeStaged. In model mode
 // the same transfers are issued with nil payloads, so the
 // redistribution cost still lands in virtual time. The caller must have
 // quiesced all in-flight operations first. On error the Dist may be
 // left without device storage and must not be used further.
 func (d *Dist) Redistribute(p *sim.Proc, devs []Device) error {
-	return d.redistribute(p, devs, false)
-}
-
-// RedistributeDirect is Redistribute with the daemon-to-daemon fast
-// path on: blocks whose owner changed move directly between the two
-// accelerators (accel.PeerCopier) and fall back to host staging only
-// when no peer path exists (core.ErrNoPeerPath, or a device without
-// the capability).
-func (d *Dist) RedistributeDirect(p *sim.Proc, devs []Device) error {
-	return d.redistribute(p, devs, true)
-}
-
-func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
 	if len(devs) == 0 {
 		return fmt.Errorf("magma: no devices")
 	}
@@ -127,8 +120,6 @@ func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
 	}
 	// Build the new layout while the old storage is still live, so
 	// blocks can move storage-to-storage without a full host gather.
-	// When the devices lack headroom for both layouts at once, fall
-	// back to the legacy gather-free-reupload path.
 	nd, err := NewDist(p, devs, d.M, d.N, d.NB, d.exec)
 	if err != nil {
 		return d.RedistributeStaged(p, devs)
@@ -155,28 +146,22 @@ func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
 		srcOff := 8 * old.elemOff(b, 0, 0)
 		dstOff := 8 * nd.elemOff(b, 0, 0)
 		if srcDev == dstDev {
-			// Unchanged owner: the block stays on its device. A local
-			// copy shifts it to the new layout's offset with no payload
-			// on the wire; only a device without the capability stages.
 			if lc, ok := srcDev.(accel.LocalCopier); ok {
 				if err := lc.CopyD2D(p, dstPtr, dstOff, srcPtr, srcOff, nbytes); err != nil {
 					return fail(err)
 				}
 				continue
 			}
-		} else if direct {
-			// Changed owner, fast path: daemon-to-daemon, no host staging.
-			if pc, ok := srcDev.(accel.PeerCopier); ok {
-				handled, err := pc.CopyToPeer(p, srcPtr, srcOff, nbytes, 1, nbytes, dstDev, dstPtr, dstOff)
-				if handled && err == nil {
-					continue
-				}
-				if handled && !errors.Is(err, core.ErrNoPeerPath) {
-					return fail(err)
-				}
-				// No peer path: this block stages through the host.
+		} else if pc, ok := srcDev.(accel.PeerCopier); ok {
+			handled, err := pc.CopyToPeer(p, srcPtr, srcOff, nbytes, 1, nbytes, dstDev, dstPtr, dstOff, 0, 0)
+			if handled && err == nil {
+				continue
+			}
+			if handled && !errors.Is(err, core.ErrNoPeerPath) {
+				return fail(err)
 			}
 		}
+		// No local or peer path: the block stages through the host.
 		var buf []byte
 		if d.exec {
 			buf = d.getScratch(nbytes)
@@ -204,11 +189,11 @@ func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
 	return nil
 }
 
-// RedistributeStaged is the legacy full-matrix host round trip: gather
-// everything, free, re-allocate over devs, re-upload. It is the
-// fallback when the devices cannot hold the old and new layouts at once
-// and the measurement baseline the data-plane benchmark compares the
-// block-wise paths against.
+// RedistributeStaged is the full-matrix host round trip: gather
+// everything, free, re-allocate over devs, re-upload. It is
+// Redistribute's fallback when the devices cannot hold the old and new
+// layouts at once, and the baseline tests and the data-plane benchmark
+// compare the planner against.
 func (d *Dist) RedistributeStaged(p *sim.Proc, devs []Device) error {
 	var host []float64
 	if d.exec {

@@ -10,6 +10,7 @@ package magma
 // legacy ARM and a 3-shard fleet.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -209,4 +210,85 @@ func testQRGrowShrink(t *testing.T, shards int) {
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// errInjectedH2D is the failure trackedDev injects into host uploads.
+var errInjectedH2D = errors.New("injected host-to-device failure")
+
+// trackedDev wraps a Device, recording its live allocations so a test
+// can catch double frees and leaks; with failH2D set every host upload
+// fails.
+type trackedDev struct {
+	Device
+	t       *testing.T
+	live    map[gpu.Ptr]bool
+	failH2D bool
+}
+
+func (d *trackedDev) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
+	ptr, err := d.Device.MemAlloc(p, n)
+	if err == nil {
+		d.live[ptr] = true
+	}
+	return ptr, err
+}
+
+func (d *trackedDev) MemFree(p *sim.Proc, ptr gpu.Ptr) error {
+	if !d.live[ptr] {
+		d.t.Errorf("free of %v, which is not allocated", ptr)
+	}
+	delete(d.live, ptr)
+	return d.Device.MemFree(p, ptr)
+}
+
+func (d *trackedDev) CopyH2DAsync(dst gpu.Ptr, off int, src []byte, n int, stream uint8) Pending {
+	if d.failH2D {
+		return failedPending{errInjectedH2D}
+	}
+	return d.Device.CopyH2DAsync(dst, off, src, n, stream)
+}
+
+type failedPending struct{ err error }
+
+func (f failedPending) Wait(*sim.Proc) error { return f.err }
+
+// TestDgeqrfGrowFailureReturnsError grows a running QR from 2 onto 4
+// devices whose newcomers reject host uploads, so the redistribution
+// fails part way. Dgeqrf must return that error — not panic freeing its
+// workspaces against the new device set, nor free them twice — and
+// every allocation must be released exactly once.
+func TestDgeqrfGrowFailureReturnsError(t *testing.T) {
+	const n, nb = 96, 16
+	withCluster(t, 4, true, 0, func(p *sim.Proc, remote []Device, _ []*gpu.Device) {
+		devs := make([]*trackedDev, len(remote))
+		grown := make([]Device, len(remote))
+		for i, r := range remote {
+			devs[i] = &trackedDev{Device: r, t: t, live: map[gpu.Ptr]bool{}, failH2D: i >= 2}
+			grown[i] = devs[i]
+		}
+		dist, err := NewDist(p, grown[:2], n, n, nb, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dist.Upload(p, randSquare(rand.New(rand.NewSource(5)), n)); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.NB = nb
+		cfg.Rebalance = func(_ *sim.Proc, done int) []Device {
+			if done == 2 {
+				return grown
+			}
+			return nil
+		}
+		if err := Dgeqrf(p, dist, make([]float64, n), cfg); !errors.Is(err, errInjectedH2D) {
+			t.Fatalf("Dgeqrf after a failed grow = %v, want the injected upload error", err)
+		}
+		dist.Free(p)
+		for i, d := range devs {
+			if len(d.live) != 0 {
+				t.Errorf("device %d still holds %d allocations", i, len(d.live))
+			}
+		}
+	})
 }

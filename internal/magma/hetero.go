@@ -116,7 +116,7 @@ func (po *panelOffload) lookahead(p *sim.Proc, d *Dist, next, j, jb, jbn int, ne
 	if pc, ok := src.(accel.PeerCopier); ok {
 		var err error
 		moved, err = pc.CopyToPeer(p, d.ptrs[owner], 8*d.elemOff(next, j, 0), 8*mj, jbn, 8*d.M,
-			po.dev, po.dC, 0)
+			po.dev, po.dC, 0, 0, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -553,7 +553,7 @@ func TestSinglePanelMatrix(t *testing.T) {
 	})
 }
 
-// D2D broadcast: Cholesky with accelerator-to-accelerator L21 transfers
+// Tree broadcast: Cholesky with accelerator-to-accelerator L21 transfers
 // must produce the identical factorization and beat the host route.
 func TestDpotrfD2DBroadcast(t *testing.T) {
 	withCluster(t, 3, true, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
@@ -574,7 +574,7 @@ func TestDpotrfD2DBroadcast(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.NB = nb
-		cfg.D2DBroadcast = true
+		cfg.Broadcast = BroadcastTree
 		if err := Dpotrf(p, dist, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -593,8 +593,8 @@ func TestDpotrfD2DBroadcast(t *testing.T) {
 	})
 }
 
-// Mixed local+remote devices: the D2D path must fall back to the host
-// route for the local GPU and still produce the right factors.
+// Mixed local+remote devices: the tree fan-out must fall back to the
+// host route for the local GPU and still produce the right factors.
 func TestDpotrfD2DFallbackWithLocalDevice(t *testing.T) {
 	withCluster(t, 1, true, 1, func(p *sim.Proc, remote []Device, local []*gpu.Device) {
 		ld := Local(p, local[0])
@@ -617,7 +617,7 @@ func TestDpotrfD2DFallbackWithLocalDevice(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.NB = nb
-		cfg.D2DBroadcast = true // must fall back transparently
+		cfg.Broadcast = BroadcastTree // must fall back transparently
 		if err := Dpotrf(p, dist, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -637,11 +637,11 @@ func TestDpotrfD2DFallbackWithLocalDevice(t *testing.T) {
 }
 
 func TestD2DBroadcastFasterThanHostRoute(t *testing.T) {
-	timeChol := func(d2d bool) sim.Duration {
+	timeChol := func(how Broadcast) sim.Duration {
 		var elapsed sim.Duration
 		withCluster(t, 3, false, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
 			cfg := DefaultConfig()
-			cfg.D2DBroadcast = d2d
+			cfg.Broadcast = how
 			dist, err := NewDist(p, devs, 4032, 4032, cfg.NB, false)
 			if err != nil {
 				t.Fatal(err)
@@ -658,8 +658,8 @@ func TestD2DBroadcastFasterThanHostRoute(t *testing.T) {
 		})
 		return elapsed
 	}
-	host := timeChol(false)
-	d2d := timeChol(true)
+	host := timeChol(BroadcastHost)
+	d2d := timeChol(BroadcastTree)
 	if d2d >= host {
 		t.Errorf("D2D broadcast (%v) not faster than host route (%v)", d2d, host)
 	}

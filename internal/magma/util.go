@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"dynacc/internal/gpu"
 	"dynacc/internal/sim"
 )
 
@@ -22,6 +23,51 @@ func minInt(a, b int) int {
 	return b
 }
 
+// workspace holds a factorization's per-device scratch buffers:
+// bufs[i][g] is the i-th requested size on devs[g].
+type workspace struct {
+	devs []Device
+	bufs [][]gpu.Ptr
+}
+
+// newWorkspace allocates one buffer of each size on every device,
+// device by device, freeing what it got if an allocation fails.
+func newWorkspace(p *sim.Proc, devs []Device, sizes ...int) (*workspace, error) {
+	w := &workspace{devs: devs, bufs: make([][]gpu.Ptr, len(sizes))}
+	for i := range w.bufs {
+		w.bufs[i] = make([]gpu.Ptr, len(devs))
+	}
+	for g, dev := range devs {
+		for i, n := range sizes {
+			ptr, err := dev.MemAlloc(p, n)
+			if err != nil {
+				w.free(p)
+				return nil, err
+			}
+			w.bufs[i][g] = ptr
+		}
+	}
+	return w, nil
+}
+
+// free releases the buffers on the devices they were allocated on. It is
+// safe to call again, and on a nil workspace. Free errors are dropped:
+// free runs on the way out, where the factorization's own result (or
+// error) is what the caller acts on.
+func (w *workspace) free(p *sim.Proc) {
+	if w == nil {
+		return
+	}
+	for g, dev := range w.devs {
+		for _, b := range w.bufs {
+			if !b[g].IsNull() {
+				_ = dev.MemFree(p, b[g])
+			}
+		}
+	}
+	w.devs = nil
+}
+
 // Config tunes the hybrid factorizations.
 type Config struct {
 	// NB is the panel width (MAGMA's blocking factor).
@@ -32,33 +78,13 @@ type Config struct {
 	// Lookahead overlaps the next panel's download and CPU factorization
 	// with the wide trailing update, as MAGMA does.
 	Lookahead bool
-	// AsyncBroadcast lets the V/T (or L21) broadcast overlap the trailing
-	// update. MAGMA 1.1 used the synchronous magma_dsetmatrix, so the
-	// paper-faithful default keeps the broadcast on the critical path —
-	// which is exactly what makes the factorizations sensitive to the
-	// host-accelerator bandwidth (paper Figures 9-10).
-	AsyncBroadcast bool
-	// D2DBroadcast routes Cholesky's L21 broadcast directly between the
-	// accelerators (the paper's AC-to-AC transfers, Section III) instead
-	// of staging it through the compute node. Falls back to the host
-	// route for devices without the capability (e.g. node-local GPUs).
-	D2DBroadcast bool
-	// TreeBroadcast fans the QR panel out over a binomial tree of direct
-	// accelerator-to-accelerator links (minimpi.BcastTree schedule): the
-	// host uploads the panel once, to the owner, and the G-1 remaining
-	// copies travel daemon-to-daemon — O(log G) link-serialized rounds
-	// instead of G uploads serialized on the compute node's NIC.
-	// Destinations without a peer path degrade to a host upload per
-	// block. Off by default, which keeps the paper's host-staged
-	// broadcast (and its wire traffic) byte-identical.
-	TreeBroadcast bool
-	// DirectRedistribute moves redistributed blocks daemon-to-daemon
-	// (accel.PeerCopier) when the owner changes and with a device-local
-	// copy when it does not, staging through the host only for blocks
-	// with no peer path (see Dist.RedistributeDirect). Off by default:
-	// the classic host-staged path remains, though it now skips
-	// re-uploading blocks whose owning device is unchanged.
-	DirectRedistribute bool
+	// Broadcast picks how each factored panel (QR's V, LU's panel,
+	// Cholesky's L21) reaches the other devices: the paper's host loop
+	// (BroadcastHost, the zero value that Figures 9-10 measure) or the
+	// accelerator-to-accelerator fan-out (BroadcastTree), where a device
+	// without a peer path gets the panel from the host. Either way every
+	// kernel computes the same thing, so the factors are bit-identical.
+	Broadcast Broadcast
 	// Heterogeneous splits Dgeqrf's device roles across a mixed fleet:
 	// the latency-bound lookahead work (next-panel update and download)
 	// runs on PanelDevice — a fast-launch device outside the matrix
@@ -75,7 +101,7 @@ type Config struct {
 	// with the number of panels already factored. Returning a non-nil
 	// device list that differs from the distribution's current one
 	// quiesces the GPUs and redistributes the matrix onto the new set
-	// (see Dist.Redistribute) before the next panel — the malleability
+	// (Dist.Redistribute) before the next panel — the malleability
 	// hook that lets a running job expand onto accelerators registered
 	// with the ARM mid-factorization, or vacate ones being retired.
 	// Returning nil (or the same list) continues unchanged.
